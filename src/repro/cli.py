@@ -51,7 +51,6 @@ Examples::
     python -m repro list
     python -m repro run soplex --variant cfd --scale 0.25 --json
     python -m repro run bzip2 --variant tq --max-instructions 100000 --sample
-    python -m repro compare bzip2 --variant tq --batch
     python -m repro bench-speed --sample --history BENCH_history.jsonl
     python -m repro compare astar_r1 --variant dfd --config memory-bound
     python -m repro compare soplex --variant cfd --jobs 2 --telemetry /tmp/sp
@@ -245,10 +244,8 @@ def _outcome_accounting(outcome):
         "worker_pid": outcome.worker_pid,
         "resources": outcome.resources,
     }
-    if getattr(outcome, "resumed", False):
+    if outcome.resumed:
         info["resumed"] = True
-    if outcome.functional is not None:
-        info["functional"] = outcome.functional
     return info
 
 
@@ -270,42 +267,17 @@ def cmd_compare(args, out):
     outcomes = run_supervised_sweep(
         points, jobs=args.jobs, cache=_result_cache(args),
         policy=_supervision_policy(args), telemetry=args.telemetry,
-        executor="batched" if args.batch else None,
     )
     for outcome in outcomes:
         if not outcome.ok:
             label = outcome.point.label()
-            if getattr(outcome, "timed_out", False):
+            if outcome.timed_out:
                 out.write("%s timed out after %d attempt(s) "
                           "(--timeout %.3gs)\n"
                           % (label, outcome.attempts, args.timeout))
             else:
                 out.write("%s failed:\n%s\n" % (label, outcome.error))
             return 1
-    if args.batch:
-        # Functional-only lockstep comparison: architectural outcomes,
-        # no timing stats (the batch never runs the cycle core).
-        base_fn, var_fn = (o.functional for o in outcomes)
-        if args.json:
-            return _emit_json(out, {
-                "kind": "repro.compare.batch",
-                "workload": _workload_identity(args),
-                "base": base_fn,
-                "variant": var_fn,
-                "outcomes": [_outcome_accounting(o) for o in outcomes],
-            })
-        out.write(format_table(
-            ["metric", "base", args.variant],
-            [
-                ("retired", base_fn["retired"], var_fn["retired"]),
-                ("halted", base_fn["halted"], var_fn["halted"]),
-                ("final_pc", base_fn["final_pc"], var_fn["final_pc"]),
-            ],
-            title="%s(%s): base vs %s [functional batch, width %d]" % (
-                workload.name, args.input or workload.inputs[0],
-                args.variant, base_fn["batch_width"]),
-        ) + "\n")
-        return 0
     base_result, var_result = (o.result for o in outcomes)
     comparison = compare_runs(
         workload.name, args.variant, base_result, var_result
@@ -1259,10 +1231,6 @@ def build_parser():
     compare_parser = sub.add_parser("compare", help="base vs variant")
     common(compare_parser, json_flag=True)
     perf_flags(compare_parser, supervise=True)
-    compare_parser.add_argument(
-        "--batch", action="store_true",
-        help="run both points' functional machines in one lockstep batch "
-             "(architectural outcomes only — no timing, no cache)")
     profile_parser = sub.add_parser("profile", help="branch profile")
     common(profile_parser, json_flag=True)
     profile_parser.add_argument("--top", type=int, default=10)

@@ -1,8 +1,7 @@
 """Cross-process sweep telemetry: spools, heartbeats, and the aggregator.
 
 PR 1's observers instrument *one* pipeline in *one* process.  A sweep
-(:func:`repro.perf.sweep.run_sweep`,
-:func:`repro.rel.supervise.run_supervised_sweep`) fans points out over a
+(:func:`repro.rel.supervise.run_supervised_sweep`) fans points out over a
 process pool that is otherwise a black box until it returns.  This
 module is the visibility layer across that pool:
 
@@ -63,7 +62,6 @@ EVENT_KINDS = (
     "point_finish",
     "cache_hit",
     "sampling",
-    "batch",
     "trace_record",
     "trace_hit",
     "trace_reuse",
@@ -285,10 +283,9 @@ class SweepAggregator:
             "events": 0, "heartbeats": 0, "cache_hits": 0,
             "journal_resumes": 0, "retries": 0, "timeouts": 0,
             "pool_respawns": 0, "degraded": 0, "workers": 0,
-            "sampled_points": 0, "batches": 0,
+            "sampled_points": 0,
             "trace_records": 0, "trace_hits": 0, "trace_reuses": 0,
         }
-        self.batch_width = 0
         self.points = {}
         self._worker_pids = set()
         self.peak_rss_kb = 0
@@ -420,11 +417,6 @@ class SweepAggregator:
                     "measured_fraction": event.get("measured_fraction"),
                     "ipc_rel_ci95": event.get("ipc_rel_ci95"),
                 }
-        elif kind == "batch":
-            # A lockstep batched fan-out started; remember its width.
-            self.counters["batches"] += 1
-            if event.get("width"):
-                self.batch_width = max(self.batch_width, event["width"])
         elif kind == "trace_record":
             # The scheduler recorded a workload group's shared warm
             # trace (event carries how many points will reuse it).
@@ -530,7 +522,6 @@ class SweepAggregator:
                 "elapsed": round(elapsed, 3),
                 "peak_rss_kb": self.peak_rss_kb,
                 "cpu_seconds": round(self.cpu_seconds, 3),
-                "batch_width": self.batch_width,
             },
             "points": [s.to_dict() for s in points],
         }
@@ -588,9 +579,9 @@ class SweepTelemetry:
     def point_settled(self, outcome, key=None):
         """Record the authoritative outcome of one point, then pump.
 
-        *key* is the sweep engine's stable point identity (the
-        supervision ``point_key`` digest where one exists); events fall
-        back to correlating by the point label without it.
+        *key* is the sweep's stable point identity (the supervision
+        ``point_key`` digest); events fall back to correlating by the
+        point label without it.
         """
         self.emit(
             "point_settled",
@@ -598,10 +589,10 @@ class SweepTelemetry:
             key=key,
             ok=outcome.ok,
             cached=outcome.cached,
-            resumed=getattr(outcome, "resumed", False),
-            degraded=getattr(outcome, "degraded", False),
+            resumed=outcome.resumed,
+            degraded=outcome.degraded,
             seconds=outcome.seconds,
-            attempts=getattr(outcome, "attempts", 0),
+            attempts=outcome.attempts,
             retired=(
                 outcome.result.stats.retired
                 if outcome.ok and outcome.result is not None else 0

@@ -7,8 +7,8 @@ layer survive faults and makes the simulator actively prove its own
 consistency:
 
 :mod:`repro.rel.supervise`
-    :func:`run_supervised_sweep` — :func:`repro.perf.sweep.run_sweep`
-    plus per-point wall-clock timeouts, bounded retries with exponential
+    :func:`run_supervised_sweep` — the sweep driver: a process pool
+    with per-point wall-clock timeouts, bounded retries with exponential
     backoff, ``BrokenProcessPool`` recovery with graceful degradation to
     inline execution, and a JSONL checkpoint journal for resumable
     sweeps.
@@ -52,7 +52,6 @@ from repro.rel.inject import (
 from repro.rel.invariants import InvariantChecker
 from repro.rel.supervise import (
     JOURNAL_VERSION,
-    SupervisedOutcome,
     SupervisionPolicy,
     SweepJournal,
     point_key,
@@ -70,7 +69,6 @@ __all__ = [
     "JOURNAL_VERSION",
     "PRFCorrupt",
     "PredictorStateFlip",
-    "SupervisedOutcome",
     "SupervisionPolicy",
     "SweepJournal",
     "TQCountCorrupt",

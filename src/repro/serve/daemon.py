@@ -299,12 +299,8 @@ class ServiceDaemon:
         settled = len(batch) - len(runnable)
         for job, outcome in zip(runnable, outcomes):
             if outcome.ok:
-                payload = (
-                    outcome.result.payload if outcome.result is not None
-                    else {"functional": outcome.functional}
-                )
                 self.queue.complete(
-                    job.job_id, payload,
+                    job.job_id, outcome.result.payload,
                     seconds=outcome.seconds,
                     supervision=policy.to_dict(),
                 )

@@ -41,11 +41,15 @@ Cross-process safety: every mutating operation holds an ``flock`` on
 ``<wal>.lock`` and first folds any lines appended by other processes
 (:meth:`JobQueue.poll`), so ``repro submit --queue`` can enqueue work
 while the daemon is live (or down — the next daemon replays it).
+Within one process, :meth:`JobQueue.poll` is serialized by a thread
+lock, so the daemon loop and the HTTP handler threads can fold the same
+instance concurrently.
 """
 
 import hashlib
 import json
 import os
+import threading
 import time
 
 from repro.fsio import flock_exclusive, fsync_directory
@@ -212,6 +216,7 @@ class JobQueue:
         self._offset = 0
         self._rr = 0            # round-robin cursor over tenants
         self._sealed = False
+        self._poll_lock = threading.Lock()
         self.poll()
 
     # -- durability -----------------------------------------------------
@@ -275,32 +280,37 @@ class JobQueue:
         and decodes/parses each line independently — a torn tail, a
         partial UTF-8 sequence or a garbled record costs exactly that
         one line, never the replay.
+
+        Read, advance and fold happen under one thread lock: two
+        unserialized polls would read from the same offset and each
+        advance it, skipping WAL lines.
         """
-        try:
-            with open(self.path, "rb") as fh:
-                fh.seek(self._offset)
-                chunk = fh.read()
-        except OSError:
-            return 0
-        if not chunk:
-            return 0
-        end = chunk.rfind(b"\n")
-        if end < 0:
-            return 0
-        self._offset += end + 1
-        folded = 0
-        for raw in chunk[: end + 1].splitlines():
+        with self._poll_lock:
             try:
-                doc = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                continue
-            if not isinstance(doc, dict):
-                continue
-            if doc.get("v", WAL_VERSION) != WAL_VERSION:
-                continue
-            self._fold(doc)
-            folded += 1
-        return folded
+                with open(self.path, "rb") as fh:
+                    fh.seek(self._offset)
+                    chunk = fh.read()
+            except OSError:
+                return 0
+            if not chunk:
+                return 0
+            end = chunk.rfind(b"\n")
+            if end < 0:
+                return 0
+            self._offset += end + 1
+            folded = 0
+            for raw in chunk[: end + 1].splitlines():
+                try:
+                    doc = json.loads(raw.decode("utf-8"))
+                except (UnicodeDecodeError, ValueError):
+                    continue
+                if not isinstance(doc, dict):
+                    continue
+                if doc.get("v", WAL_VERSION) != WAL_VERSION:
+                    continue
+                self._fold(doc)
+                folded += 1
+            return folded
 
     def _fold(self, doc):
         op = doc.get("op")

@@ -2,7 +2,8 @@
 worker-fault recovery paths (``-m faultinject``).
 
 The supervision layer must be invisible when nothing goes wrong (stats
-byte-identical to a plain sweep), and when something does go wrong —
+byte-identical to a direct ``Simulator.run``), and when something does
+go wrong —
 a SIGKILLed worker, a hung point, a crashed sweep — the outcome must be
 either a bit-identical recovered result or an attributed failure, never
 a silent loss.
@@ -13,13 +14,14 @@ import os
 
 import pytest
 
-from repro.perf import SweepPoint, run_sweep
+from repro.perf import SweepPoint
 from repro.rel import (
     SupervisionPolicy,
     arm_worker_fault,
     disarm_worker_fault,
     run_supervised_sweep,
 )
+from tests.perf.helpers import direct_stats_blobs, stats_blobs
 
 
 def _points(n=2):
@@ -34,18 +36,10 @@ def _points(n=2):
     return all_points[:n]
 
 
-def _stats_blobs(outcomes):
-    return [
-        json.dumps(o.result.stats.to_dict(), sort_keys=True)
-        for o in outcomes
-    ]
-
-
 def test_supervised_pool_matches_plain_serial_sweep():
-    plain = run_sweep(_points(), jobs=1)
     supervised = run_supervised_sweep(_points(), jobs=2)
     assert all(o.ok for o in supervised)
-    assert _stats_blobs(supervised) == _stats_blobs(plain)
+    assert stats_blobs(supervised) == direct_stats_blobs(_points())
     assert [o.attempts for o in supervised] == [1, 1]
     assert all(o.worker_pid and o.worker_pid != os.getpid()
                for o in supervised)
@@ -79,7 +73,7 @@ def test_resume_runs_exactly_the_missing_points(tmp_path):
     assert len(fresh) == n - k
     assert all(o.attempts == 1 for o in fresh)
     # The journal-served result is the one the interrupted run computed.
-    assert _stats_blobs(resumed[:k]) == _stats_blobs(first)
+    assert stats_blobs(resumed[:k]) == stats_blobs(first)
 
     # A third run is now a pure resume: zero simulations.
     third = run_supervised_sweep(
@@ -87,7 +81,7 @@ def test_resume_runs_exactly_the_missing_points(tmp_path):
         policy=SupervisionPolicy(journal_path=journal, resume=True),
     )
     assert all(o.ok and o.resumed and o.attempts == 0 for o in third)
-    assert _stats_blobs(third) == _stats_blobs(resumed)
+    assert stats_blobs(third) == stats_blobs(resumed)
 
 
 def test_journal_tolerates_a_truncated_tail(tmp_path):
@@ -200,7 +194,7 @@ def test_worker_resources_recorded_with_telemetry(tmp_path):
 
 @pytest.mark.faultinject
 def test_sigkilled_worker_recovers_bit_identical(tmp_path):
-    baseline = run_sweep(_points(), jobs=1)
+    baseline = direct_stats_blobs(_points())
     arm_worker_fault(os.environ, "kill", str(tmp_path / "kill.token"))
     try:
         outcomes = run_supervised_sweep(
@@ -212,12 +206,12 @@ def test_sigkilled_worker_recovers_bit_identical(tmp_path):
     assert os.path.exists(str(tmp_path / "kill.token"))  # fault did fire
     assert all(o.ok for o in outcomes)
     assert any(o.attempts > 1 for o in outcomes)  # someone was re-run
-    assert _stats_blobs(outcomes) == _stats_blobs(baseline)
+    assert stats_blobs(outcomes) == baseline
 
 
 @pytest.mark.faultinject
 def test_hung_worker_is_killed_and_retried(tmp_path):
-    baseline = run_sweep(_points(), jobs=1)
+    baseline = direct_stats_blobs(_points())
     arm_worker_fault(os.environ, "hang:120", str(tmp_path / "hang.token"))
     try:
         outcomes = run_supervised_sweep(
@@ -228,7 +222,7 @@ def test_hung_worker_is_killed_and_retried(tmp_path):
         disarm_worker_fault(os.environ)
     assert all(o.ok for o in outcomes)
     assert any(o.attempts > 1 for o in outcomes)
-    assert _stats_blobs(outcomes) == _stats_blobs(baseline)
+    assert stats_blobs(outcomes) == baseline
 
 
 @pytest.mark.faultinject
@@ -248,7 +242,7 @@ def test_hung_worker_without_retries_reports_timeout(tmp_path):
     assert all(o.ok for o in outcomes if not o.timed_out)
 
 
-# --------------------------------------------------- sampled + batched
+# ------------------------------------------------------------- sampled
 
 
 def _sampled_point():
@@ -290,16 +284,7 @@ def test_sampled_point_resumes_from_its_own_journal_entry(tmp_path):
     assert fresh.result.sampling is None
 
 
-def test_supervised_batched_executor_delegates():
-    points = _points(2)
-    outcomes = run_supervised_sweep(points, executor="batched")
-    assert len(outcomes) == 2
-    for outcome in outcomes:
-        assert outcome.ok
-        assert outcome.functional["retired"] == 2000
-        assert outcome.functional["batch_width"] == 2
-
-
 def test_supervised_unknown_executor_rejected():
-    with pytest.raises(ValueError):
+    # The driver has one fan-out; an executor choice is not a parameter.
+    with pytest.raises(TypeError):
         run_supervised_sweep([], executor="threads")

@@ -15,7 +15,6 @@ import time
 from pathlib import Path
 
 from repro.obs.prom import render_service
-from repro.perf.sweep import SweepPoint
 from repro.rel.supervise import SupervisionPolicy, run_supervised_sweep
 from repro.serve.daemon import (
     ServiceConfig,

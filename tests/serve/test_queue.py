@@ -7,6 +7,9 @@ the bytes directly.
 """
 
 import json
+import os
+import sys
+import threading
 
 import pytest
 
@@ -174,6 +177,50 @@ def test_two_instances_converge_through_the_file(tmp_path):
     writer.complete(job.job_id, {"v": 1})
     reader.poll()
     assert reader.get(job.job_id).state == "done"
+
+
+def test_concurrent_polls_never_skip_wal_lines(tmp_path):
+    """The daemon loop and the HTTP handler threads poll one instance at
+    once: every submitted job must be folded, and the fold offset must
+    end exactly at the WAL size (no line skipped, none read twice)."""
+    queue = make_queue(tmp_path)
+    specs = [spec_for(seed=seed) for seed in range(1, 61)]
+    errors = []
+    done = threading.Event()
+
+    def poll_until_done():
+        while not done.is_set():
+            try:
+                queue.poll()
+            except Exception as exc:
+                errors.append(exc)
+
+    def submit_all():
+        try:
+            for spec in specs:
+                queue.submit(spec)
+        except Exception as exc:
+            errors.append(exc)
+        finally:
+            done.set()
+
+    # Switch threads as often as possible to widen the race window.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=poll_until_done)
+                   for _ in range(4)]
+        threads.append(threading.Thread(target=submit_all))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    queue.poll()
+    assert errors == []
+    assert set(queue.jobs) == {job_key(spec) for spec in specs}
+    assert queue._offset == os.path.getsize(queue.path)
 
 
 def test_torn_tail_mid_record_replays_n_minus_one(tmp_path):
