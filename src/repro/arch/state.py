@@ -12,6 +12,26 @@ from repro.arch.queues import BranchQueue, TripCountQueue, ValueQueue
 from repro.isa.instructions import NUM_GPRS, ZERO_REG
 
 
+def program_image(program):
+    """*program*'s validated, masked data image as a word dict.
+
+    Memoized on the program (``_image_words``): a sweep constructs many
+    machines over the same immutable program, and large workloads' data
+    images run to millions of words.  Callers copy it and never alias it,
+    so machines stay independent.
+    """
+    image = getattr(program, "_image_words", None)
+    if image is None:
+        memory = Memory()
+        memory.load_image(program.data)
+        image = memory._words
+        try:
+            program._image_words = image
+        except AttributeError:  # pragma: no cover - slotted
+            pass
+    return image
+
+
 class ArchState:
     """Architectural machine state."""
 
@@ -36,27 +56,9 @@ class ArchState:
             self.load_program(program)
 
     def load_program(self, program):
-        """Install *program*'s data image and entry point.
-
-        The validated, masked image is memoized on the program object
-        (``_image_words``): a sweep constructs many machines over the
-        same immutable program, and large workloads' data images run to
-        millions of words.  The memo is merged copy-on-install and
-        never aliased, so machines stay independent.
-        """
-        image = getattr(program, "_image_words", None)
-        if image is None:
-            # Memoize only a load into pristine memory; loading over
-            # existing contents would capture the merge, not the image.
-            pristine = not self.memory.words()
-            self.memory.load_image(program.data)
-            if pristine:
-                try:
-                    program._image_words = self.memory.words()
-                except AttributeError:  # pragma: no cover - slotted
-                    pass
-        else:
-            self.memory.install_validated(image)
+        """Install *program*'s data image (:func:`program_image`, merged
+        over the current contents) and entry point."""
+        self.memory.install_validated(program_image(program))
         self.pc = program.entry
 
     def read_reg(self, reg):

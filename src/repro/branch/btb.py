@@ -7,55 +7,47 @@ for a taken branch costs a 1-cycle misfetch penalty (detected next cycle).
 """
 
 
-class _BTBEntry:
-    __slots__ = ("tag", "target")
-
-    def __init__(self, tag, target):
-        self.tag = tag
-        self.target = target
-
-
 class BranchTargetBuffer:
-    """Set-associative BTB with LRU replacement."""
+    """Set-associative BTB with LRU replacement.
+
+    State is flat: each set is a list of the resident branch PCs in
+    MRU-first order (a PC names its set and tag, so it serves as both),
+    and one dict maps every resident PC to its target.
+    """
 
     def __init__(self, sets=1024, ways=4):
         self.sets = sets
         self.ways = ways
-        self._sets = [[] for _ in range(sets)]  # each: list of entries, MRU first
+        self._sets = [[] for _ in range(sets)]
+        self._targets = {}
         self.hits = 0
         self.misses = 0
 
-    def _locate(self, pc):
-        index = pc % self.sets
-        tag = pc // self.sets
-        return index, tag
-
     def lookup(self, pc):
         """Return the cached taken-target for *pc*, or ``None`` on miss."""
-        index, tag = self._locate(pc)
-        entries = self._sets[index]
-        for position, entry in enumerate(entries):
-            if entry.tag == tag:
-                if position:
-                    entries.insert(0, entries.pop(position))
-                self.hits += 1
-                return entry.target
-        self.misses += 1
-        return None
+        entries = self._sets[pc % self.sets]
+        if not entries or entries[0] != pc:  # not the MRU entry
+            if pc not in entries:
+                self.misses += 1
+                return None
+            entries.remove(pc)
+            entries.insert(0, pc)
+        self.hits += 1
+        return self._targets[pc]
 
     def install(self, pc, target):
         """Install/refresh the taken-target for *pc*."""
-        index, tag = self._locate(pc)
-        entries = self._sets[index]
-        for position, entry in enumerate(entries):
-            if entry.tag == tag:
-                entry.target = target
-                if position:
-                    entries.insert(0, entries.pop(position))
-                return
-        entries.insert(0, _BTBEntry(tag, target))
+        entries = self._sets[pc % self.sets]
+        self._targets[pc] = target
+        if entries and entries[0] == pc:
+            return
+        if pc in entries:
+            entries.remove(pc)
+            entries.insert(0, pc)
+            return
+        entries.insert(0, pc)
         if len(entries) > self.ways:
-            entries.pop()
+            del self._targets[entries.pop()]
 
     def stats(self):
         total = self.hits + self.misses

@@ -7,8 +7,6 @@ allocation (confidence-guided checkpointing, Section VI): only
 low-confidence branches take one of the scarce checkpoints.
 """
 
-from repro.branch.base import saturate
-
 
 class JRSConfidenceEstimator:
     """Resetting-counter confidence estimator indexed by PC^history."""
@@ -46,8 +44,9 @@ class JRSConfidenceEstimator:
 
     def update(self, pc, correct):
         """Train with whether the overall prediction was *correct*."""
-        idx = self._index(pc)
-        if correct:
-            self._table[idx] = saturate(self._table[idx], 1, 0, self._counter_max)
-        else:
-            self._table[idx] = 0
+        table = self._table
+        idx = (pc ^ (self._history << 2)) & self._mask
+        if not correct:
+            table[idx] = 0
+        elif table[idx] < self._counter_max:
+            table[idx] += 1

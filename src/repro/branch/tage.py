@@ -10,43 +10,48 @@ low-confidence TAGE predictions.
 Global history is an integer bit-vector updated speculatively at fetch and
 repaired from checkpoints on mispredictions (see
 :class:`~repro.branch.base.BranchPredictor`).
+
+State layout
+------------
+All table state is flat lists of ints, one list per field:
+
+* ``_tags``/``_ctrs``/``_useful`` hold the tagged tables back to back;
+  entry *i* of table *t* sits at ``(t << table_bits) | i``.  Counters
+  are signed (-4..3, >= 0 means taken); useful counters are 0..3.
+* ``_base`` is the 2-bit bimodal base table.
+* ``_regs`` are the incrementally folded histories (the hardware CSR
+  trick), one register per distinct (history length, fold width) pair.
+  With ``table_bits=10, tag_bits=11`` a table's index fold and its
+  (tag - 1) fold are the same fold, so six tables need 12 registers.
+* ISL-TAGE adds the corrector tables ``_sc`` (back to back, like the
+  tagged tables) and the loop table ``_loop_tag``/``_loop_past``/
+  ``_loop_cur``/``_loop_conf``/``_loop_age`` (tag -1 marks an empty slot).
+
+Kernels
+-------
+``predict``, ``update``, ``speculative_update`` and ``train`` run once
+per branch, so they are straight-line code: every table unrolled, every
+saturating counter inlined, every fold register a local.  They are
+compiled once per geometry (:func:`_kernel_source`) into a subclass of
+the predictor class, of the same name (:func:`_kernel_class`), and
+``__init__`` moves each instance into its geometry's subclass.  They
+close over no state and hold no reference to an instance, so a
+predictor is freed as soon as it is dropped, and it deep-copies and
+pickles through ``__reduce__``.
+The prediction *meta* handed from ``predict`` to ``update`` is a flat
+tuple of the flat indices, tags and prediction-time outcomes.
 """
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-from repro.branch.base import BranchPredictor, HistorySnapshot, saturate
-from repro.branch.loop_pred import LoopPredictor
+from repro.branch.base import BranchPredictor, HistorySnapshot
 
 _DEFAULT_HISTORY_LENGTHS = (4, 8, 16, 32, 64, 128)
 
+#: The methods compiled per geometry.
+_KERNEL_METHODS = ("predict", "update", "speculative_update", "train")
 
-class _TaggedEntry:
-    __slots__ = ("tag", "ctr", "useful")
-
-    def __init__(self):
-        self.tag = 0
-        self.ctr = 0  # signed, -4..3; >= 0 means taken
-        self.useful = 0
-
-
-@dataclass(slots=True)
-class _PredMeta:
-    """Everything ``update`` needs about one prediction."""
-
-    indices: List[int]
-    tags: List[int]
-    provider: Optional[int]  # table number, or None for base
-    alt: Optional[int]
-    provider_pred: bool
-    alt_pred: bool
-    base_index: int
-    final_pred: bool
-    used_loop: bool = False
-    loop_pred: bool = True
-    sc_indices: Tuple[int, ...] = ()
-    tage_pred: bool = True
-    weak_provider: bool = False
+#: ``{geometry: class}``: the predictor class with that geometry's
+#: compiled kernels as its methods.
+_CLASSES = {}
 
 
 def _fold(history, in_bits, out_bits):
@@ -68,10 +73,343 @@ def _fold(history, in_bits, out_bits):
     return history
 
 
+def _fold_registers(geometry):
+    """The distinct (length, width) fold registers of *geometry*, and the
+    register expression of each table's index, tag and (tag - 1) fold
+    (``"0"`` for a zero-width fold)."""
+    kind, table_bits, tag_bits, lengths, _period = geometry
+    regs = []
+
+    def reg(length, bits):
+        if bits <= 0:
+            return "0"
+        if (length, bits) not in regs:
+            regs.append((length, bits))
+        return "r%d" % regs.index((length, bits))
+
+    folds = [(reg(length, table_bits), reg(length, tag_bits),
+              reg(length, tag_bits - 1)) for length in lengths]
+    sc = ()
+    if kind == "isl":
+        sc = tuple(reg(h, ISLTAGEPredictor.SC_TABLE_BITS) if h else None
+                   for h in ISLTAGEPredictor.SC_HISTORY)
+    return tuple(regs), folds, sc
+
+
+def _kernel_source(geometry):
+    """``{name: Python source}`` of the hot methods of one geometry, plus
+    ``tage_meta``, the TAGE scan that ``update`` runs without a meta."""
+    kind, table_bits, tag_bits, lengths, period = geometry
+    regs, folds, sc_regs = _fold_registers(geometry)
+    tables = len(lengths)
+    index_mask = (1 << table_bits) - 1
+    tag_mask = (1 << tag_bits) - 1
+    isl = kind == "isl"
+    consts = ISLTAGEPredictor  # corrector and loop-table constants
+    idx = ["i%d" % t for t in range(tables)]
+    tag = ["g%d" % t for t in range(tables)]
+    tage_meta = idx + tag + ["pt", "pi", "ai", "bi", "ppred", "apred",
+                             "weak", "tpred"]
+    sc = ["s%d" % k for k in range(len(sc_regs))]
+    isl_meta = ["used", "lpred"] + sc if isl else []
+    unpack = "%s, = self._regs" % ", ".join("r%d" % r for r in range(len(regs)))
+
+    def ctr(name, at, lo, hi):
+        """Saturating +1/-1 of ``name[at]`` toward the outcome."""
+        return [
+            "v = %s[%s]" % (name, at),
+            "if taken:",
+            "    if v < %d:" % hi,
+            "        %s[%s] = v + 1" % (name, at),
+            "elif v > %d:" % lo,
+            "    %s[%s] = v - 1" % (name, at),
+        ]
+
+    def scan():
+        """Index/tag computation, provider search and the TAGE prediction.
+
+        A fold register is narrower than the field it is XORed into, so
+        the per-PC part of every index (``PARTS``, memoized per PC) and
+        of every tag (``pc`` masked) can be masked before the XOR.
+        """
+        out = [unpack, "TG = self._tags", "C = self._ctrs", "B = self._base",
+               "q = PARTS.get(pc)",
+               "if q is None:",
+               "    q = PARTS[pc] = (%s,)" % ", ".join(
+                   "((pc ^ (pc >> %d)) & %d) | %d"
+                   % (t + 1, index_mask, t << table_bits)
+                   for t in range(tables)),
+               "%s, = q" % ", ".join("q%d" % t for t in range(tables)),
+               "pm = pc & %d" % tag_mask]
+        for t, (fi, fg, fg2) in enumerate(folds):
+            out.append("i%d = q%d ^ %s" % (t, t, fi))
+            out.append("g%d = pm ^ %s ^ (%s << 1)" % (t, fg, fg2))
+        # Provider: the longest-history hit; alternate: the next hit below.
+        out.append("ai = -1")
+        for t in range(tables - 1, -1, -1):
+            out.append("%s TG[i%d] == g%d:" % ("if" if t == tables - 1
+                                                else "elif", t, t))
+            out.append("    pt = %d" % t)
+            out.append("    pi = i%d" % t)
+            for a in range(t - 1, -1, -1):
+                out.append("    %s TG[i%d] == g%d:" % ("if" if a == t - 1
+                                                        else "elif", a, a))
+                out.append("        ai = i%d" % a)
+        out += [
+            "else:",
+            "    pt = pi = -1",
+            "bi = pc & 8191",
+            "bpred = B[bi] >= 2",
+            "if pi >= 0:",
+            "    v = C[pi]",
+            "    ppred = v >= 0",
+            "    apred = C[ai] >= 0 if ai >= 0 else bpred",
+            "    weak = v == 0 or v == -1",
+            "    tpred = apred if weak and self._use_alt_on_na >= 8 else ppred",
+            "else:",
+            "    ppred = apred = tpred = bpred",
+            "    weak = False",
+        ]
+        return out
+
+    def tage_update():
+        """Train the provider/alternate/base, allocate on a misprediction
+        and age the useful counters (needs the scan's locals)."""
+        base = ctr("B", "bi", 0, 3)
+        return [
+            "n = self._update_count + 1",
+            "self._update_count = n",
+            "if pi >= 0:",
+            "    if weak and ppred != apred:",
+            "        u = self._use_alt_on_na",
+            "        if apred == taken:",
+            "            if u < 15:",
+            "                self._use_alt_on_na = u + 1",
+            "        elif u > 0:",
+            "            self._use_alt_on_na = u - 1",
+            *["    " + line for line in ctr("C", "pi", -4, 3)],
+            "    U = self._useful",
+            "    u = U[pi]",
+            "    if ppred != apred:",
+            "        if ppred == taken:",
+            "            if u < 3:",
+            "                U[pi] = u = u + 1",
+            "        elif u > 0:",
+            "            U[pi] = u = u - 1",
+            "    if u == 0:",  # newly allocated provider: train the alternate
+            "        if ai >= 0:",
+            *["            " + line for line in ctr("C", "ai", -4, 3)],
+            "        else:",
+            *["            " + line for line in base],
+            "else:",
+            *["    " + line for line in base],
+            "if tpred != taken:",
+            "    self._allocate(pt + 1, (%s,), (%s,), taken)"
+            % (", ".join(idx), ", ".join(tag)),
+            "if n %% %d == 0:" % period,
+            "    self._age_useful()",
+        ]
+
+    def shift():
+        """Shift the outcome into the history and every fold register.
+
+        Each register rotates left within its width with the outcome
+        XORed in (one lookup in ``ROT<width>_<outcome>``), and the history
+        bit that left its window is cancelled at bit ``length % width``.
+        """
+        widths = sorted({bits for _, bits in regs})
+        out = ["h = self._history", "if taken:", "    d = 1"]
+        out += ["    W%d = ROT%d_1" % (bits, bits) for bits in widths]
+        out += ["else:", "    d = 0"]
+        out += ["    W%d = ROT%d_0" % (bits, bits) for bits in widths]
+        leaving = {}
+        for length, bits in regs:
+            top = length % bits
+            if (length, top) not in leaving:
+                name = leaving[length, top] = "y%d_%d" % (length, top)
+                move = length - 1 - top
+                out.append("%s = (h %s %d) & %d" % (
+                    name, ">>" if move >= 0 else "<<", abs(move), 1 << top))
+        out.append("self._regs = [%s]" % ", ".join(
+            "W%d[r%d] ^ %s" % (bits, r, leaving[length, length % bits])
+            for r, (length, bits) in enumerate(regs)))
+        out.append("self._history = ((h << 1) | d) & %d"
+                   % ((1 << (lengths[-1] + 1)) - 1))
+        return out
+
+    def isl_predict():
+        """Loop predictor, else the statistical corrector (vetoes weak
+        TAGE predictions only); sets ``final`` and the ISL meta."""
+        sc_bits = consts.SC_TABLE_BITS
+        sc_mask = (1 << sc_bits) - 1
+        terms = []
+        for k, reg in enumerate(sc_regs):
+            value = "pc" if reg is None else "(pc ^ %s)" % reg
+            offset = " | %d" % (k << sc_bits) if k else ""
+            terms.append("s%d = (%s & %d)%s" % (k, value, sc_mask, offset))
+        return [
+            *loop_index(),
+            "if (self._loop_tag[li] == lt and self._loop_conf[li] >= %d"
+            % consts.LOOP_CONFIDENT,
+            "        and self._loop_trust >= 4):",
+            "    used = True",
+            "    lpred = final = self._loop_cur[li] < self._loop_past[li]",
+            "    %s = -1" % " = ".join(sc),
+            "else:",
+            "    used = False",
+            "    lpred = True",
+            *["    " + term for term in terms],
+            "    final = tpred",
+            "    if weak:",
+            "        S = self._sc",
+            "        v = %s + (2 if tpred else -2)"
+            % " + ".join("S[%s]" % s for s in sc),
+            "        if v >= %d or v <= -%d:" % (consts.SC_THRESHOLD,
+                                                 consts.SC_THRESHOLD),
+            "            final = v >= 0",
+        ]
+
+    def isl_update():
+        """Loop trust, loop table and corrector training (needs ``li``,
+        ``lt`` and the ISL meta locals)."""
+        return [
+            "if used:",
+            "    v = self._loop_trust",
+            "    if lpred == taken:",
+            "        if v < 7:",
+            "            self._loop_trust = v + 1",
+            "    else:",
+            "        self._loop_trust = v - 2 if v > 2 else 0",
+            *loop_update(),
+            "if %s >= 0:" % sc[0],
+            "    S = self._sc",
+            *["    " + line for s in sc for line in ctr("S", s, -31, 31)],
+        ]
+
+    def loop_update():
+        """One committed outcome into the loop table (``li``/``lt``)."""
+        return [
+            "LT = self._loop_tag",
+            "LA = self._loop_age",
+            "v = LT[li]",
+            "if v != lt and v >= 0 and LA[li] > 1:",
+            "    LA[li] -= 1",  # another loop's entry survives, one step older
+            "else:",
+            "    LC = self._loop_cur",
+            "    LF = self._loop_conf",
+            "    LP = self._loop_past",
+            "    if v != lt:",
+            "        LT[li] = lt",
+            "        LP[li] = LC[li] = LF[li] = 0",
+            "        LA[li] = 8",
+            "    if taken:",
+            "        v = LC[li] + 1",
+            "        if v >= %d:" % consts.LOOP_MAX_ITER,
+            "            LF[li] = LC[li] = 0",  # degenerate loop: give up
+            "        else:",
+            "            LC[li] = v",
+            "    else:",
+            "        v = LC[li]",
+            "        if v == LP[li]:",
+            "            if LF[li] < 7:",
+            "                LF[li] += 1",
+            "        else:",
+            "            LF[li] = 0",
+            "            LP[li] = v",
+            "        LC[li] = 0",
+            "        LA[li] = 8",
+        ]
+
+    def loop_index():
+        return ["li = pc & %d" % ((1 << consts.LOOP_TABLE_BITS) - 1),
+                "lt = (pc >> 2) & %d" % ((1 << consts.LOOP_TAG_BITS) - 1)]
+
+    def body(lines, indent=1):
+        return ["    " * indent + line for line in lines]
+
+    def function(signature, lines):
+        return "def %s:\n%s\n" % (signature, "\n".join(body(lines)))
+
+    tage_locals = ", ".join(tage_meta)
+    meta_locals = ", ".join(tage_meta + isl_meta)
+    return {
+        # The TAGE half of the meta, for an update that got none.
+        "tage_meta": function("tage_meta(self, pc)",
+                              scan() + ["return %s" % tage_locals]),
+        "predict": function(
+            "predict(self, pc)",
+            scan() + (isl_predict() + ["return final, (%s)" % meta_locals]
+                      if isl else ["return tpred, (%s)" % tage_locals])),
+        "update": function("update(self, pc, taken, meta=None)", [
+            "if meta is None:",
+            *body((loop_index() + loop_update() if isl else [])
+                  + ["%s = tage_meta(self, pc)" % tage_locals]),
+            "else:",
+            *body(["%s = meta" % meta_locals]
+                  + (loop_index() + isl_update() if isl else [])),
+            "C = self._ctrs",
+            "B = self._base",
+            *tage_update(),
+        ]),
+        "speculative_update": function("speculative_update(self, pc, taken)",
+                                       [unpack] + shift()),
+        "train": function(
+            "train(self, pc, taken)",
+            scan() + (isl_predict() + isl_update() if isl else [])
+            + tage_update() + shift()
+            + ["return %s" % ("final" if isl else "tpred")]),
+    }
+
+
+def _rotations(bits, outcome):
+    """``table[f]``: the *bits*-wide fold *f* rotated left by one, with
+    *outcome* XORed into bit 0."""
+    mask = (1 << bits) - 1
+    return [(((f << 1) | (f >> (bits - 1))) & mask) ^ outcome
+            for f in range(1 << bits)]
+
+
+def _kernel_class(geometry):
+    """The predictor class of *geometry*: a subclass of the plain class
+    (same name) whose hot methods are that geometry's compiled kernels.
+
+    The kernels' globals are the rotation tables of
+    :func:`_kernel_source`'s shift and ``PARTS``, a per-PC memo of the
+    PC's share of every table index (a pure function of the PC for this
+    geometry).
+    """
+    cls = _CLASSES.get(geometry)
+    if cls is None:
+        kind, table_bits, tag_bits, lengths, period = geometry
+        name = "<%s kernel table_bits=%d tag_bits=%d lengths=%s period=%d>" % (
+            kind, table_bits, tag_bits, ",".join(map(str, lengths)), period)
+        namespace = {"PARTS": {}}
+        for _, bits in _fold_registers(geometry)[0]:
+            for outcome in (0, 1):
+                namespace["ROT%d_%d" % (bits, outcome)] = _rotations(
+                    bits, outcome)
+        # One compile per function keeps the parser's peak memory to
+        # that of the largest function rather than of all of them.
+        for source in _kernel_source(geometry).values():
+            exec(compile(source, name, "exec"), namespace)
+        base = ISLTAGEPredictor if kind == "isl" else TAGEPredictor
+        methods = {method: namespace[method] for method in _KERNEL_METHODS}
+        cls = _CLASSES[geometry] = type(base.__name__, (base,), dict(
+            methods, __module__=base.__module__,
+            __qualname__=base.__qualname__))
+    return cls
+
+
+def _rebuild(geometry):
+    """An empty predictor of *geometry* (the unpickle/deepcopy hook)."""
+    return object.__new__(_kernel_class(geometry))
+
+
 class TAGEPredictor(BranchPredictor):
     """Plain TAGE (no loop predictor, no statistical corrector)."""
 
     name = "tage"
+    _KIND = "tage"
 
     U_RESET_PERIOD = 1 << 18
 
@@ -83,471 +421,103 @@ class TAGEPredictor(BranchPredictor):
         self.tag_bits = tag_bits
         self.history_lengths = tuple(history_lengths)
         self.num_tables = len(self.history_lengths)
-        size = 1 << table_bits
-        self._tables = [
-            [_TaggedEntry() for _ in range(size)] for _ in range(self.num_tables)
-        ]
+        entries = self.num_tables << table_bits
+        self._tags = [0] * entries
+        self._ctrs = [0] * entries
+        self._useful = [0] * entries
         self._base = [2] * (1 << 13)  # 2-bit bimodal base
-        self._base_mask = (1 << 13) - 1
-        self._index_mask = size - 1
-        self._tag_mask = (1 << tag_bits) - 1
         self._history = 0
         self._use_alt_on_na = 8  # 4-bit counter, >=8 means "use alt"
         self._update_count = 0
         self._alloc_tick = 0
-        # Memoized XOR-folds backing _folds_for (cold path helpers only;
-        # the hot predict path uses the incremental registers below).
-        self._fold_cache = {}
-        self._len_masks = tuple((1 << l) - 1 for l in self.history_lengths)
-        # pc ^ (pc >> (table + 1)) per table, memoized per static PC.
-        self._pc_parts = {}
-        # Incrementally-maintained folded histories (the hardware CSR
-        # trick): register 3t+k holds _fold(history & (2^L - 1), L, B) for
-        # table t's index/tag/tag2 fold width B.  speculative_update shifts
-        # them in O(1) per register; restore() recomputes from scratch.
-        # _fold_params rows are (L-1, B-1, 2^B - 1, L % B).
-        params = []
-        for length in self.history_lengths:
-            for bits in (table_bits, tag_bits, tag_bits - 1):
-                params.append((length - 1, bits - 1, (1 << bits) - 1, length % bits))
-        self._fold_params = params
-        self._fold_regs = [0] * len(params)  # folds of the empty history
-        self._hist_mask = (1 << (self.history_lengths[-1] + 1)) - 1
-        self._build_shift()
-        self._build_index_tags()
+        self._geometry = (self._KIND, table_bits, tag_bits,
+                          self.history_lengths, self.u_reset_period)
+        self._fold_params = _fold_registers(self._geometry)[0]
+        self._regs = [0] * len(self._fold_params)  # folds of the empty history
+        self.__class__ = _kernel_class(self._geometry)
 
-    _FOLD_CACHE_LIMIT = 1 << 17
-
-    def _build_shift(self):
-        """Compile the history-shift step with every constant inlined.
-
-        One straight-line exec-generated function updates all folded
-        registers and the history in a single call — the interpreted
-        per-register loop would pay tuple unpacking and index arithmetic
-        on every predicted branch.
-        """
-        lines = ["def _shift(regs, h, b):"]
-        for i, (lm1, bm1, mask, topshift) in enumerate(self._fold_params):
-            # Rotate the fold left within its B bits, then cancel the
-            # history bit that left the L-bit window and shift in the new
-            # direction bit.  This preserves the chunk-XOR fold exactly.
-            lines.append("    f = regs[%d]" % i)
-            lines.append("    f = ((f << 1) | (f >> %d)) & %d" % (bm1, mask))
-            lines.append(
-                "    regs[%d] = f ^ (((h >> %d) & 1) << %d) ^ b" % (i, lm1, topshift)
-            )
-        lines.append("    return ((h << 1) | b) & %d" % self._hist_mask)
-        namespace = {}
-        exec("\n".join(lines), namespace)
-        self._shift = namespace["_shift"]
-
-    def _build_index_tags(self):
-        """Compile the per-table index/tag computation as two list displays
-        (same rationale as :meth:`_build_shift`: no per-table loop, no
-        appends, masks inlined as constants)."""
-        idx_terms = []
-        tag_terms = []
-        for t in range(self.num_tables):
-            i = 3 * t
-            idx_terms.append(
-                "(parts[%d] ^ regs[%d]) & %d" % (t, i, self._index_mask)
-            )
-            tag_terms.append(
-                "(pc ^ regs[%d] ^ (regs[%d] << 1)) & %d"
-                % (i + 1, i + 2, self._tag_mask)
-            )
-        src = "def _it(parts, regs, pc):\n    return [%s], [%s]" % (
-            ", ".join(idx_terms),
-            ", ".join(tag_terms),
-        )
-        namespace = {}
-        exec(src, namespace)
-        self._index_tags = namespace["_it"]
+    def __reduce__(self):
+        # Rebuild through the geometry, and leave out any per-instance
+        # wrapper of a kernel: it would still call the original.
+        state = {key: value for key, value in self.__dict__.items()
+                 if key not in _KERNEL_METHODS}
+        return _rebuild, (self._geometry,), state
 
     # -- history management -------------------------------------------------
-
-    def speculative_update(self, pc, taken):
-        self._history = self._shift(
-            self._fold_regs, self._history, 1 if taken else 0
-        )
 
     def snapshot(self):
         return HistorySnapshot(self._history)
 
     def restore(self, snapshot):
         self._history = h = snapshot.payload
-        regs = self._fold_regs
-        i = 0
-        for lm1, bm1, _mask, _topshift in self._fold_params:
-            length = lm1 + 1
-            regs[i] = _fold(h & ((1 << length) - 1), length, bm1 + 1)
-            i += 1
+        self._regs = [_fold(h & ((1 << length) - 1), length, bits)
+                      for length, bits in self._fold_params]
 
-    # -- indexing ------------------------------------------------------------
+    # -- cold paths of the kernels ---------------------------------------------
 
-    def _folds_for(self, table):
-        """The (index, tag, tag-1) folds of the current history for *table*."""
-        length = self.history_lengths[table]
-        masked = self._history & ((1 << length) - 1)
-        key = (length, masked)
-        cache = self._fold_cache
-        folds = cache.get(key)
-        if folds is None:
-            folds = (
-                _fold(masked, length, self.table_bits),
-                _fold(masked, length, self.tag_bits),
-                _fold(masked, length, self.tag_bits - 1),
-            )
-            if len(cache) >= self._FOLD_CACHE_LIMIT:
-                cache.clear()
-            cache[key] = folds
-        return folds
-
-    def _compute_index(self, pc, table):
-        folded = self._folds_for(table)[0]
-        return (pc ^ (pc >> (table + 1)) ^ folded) & self._index_mask
-
-    def _compute_tag(self, pc, table):
-        _, folded, folded2 = self._folds_for(table)
-        return (pc ^ folded ^ (folded2 << 1)) & self._tag_mask
-
-    # -- predict -------------------------------------------------------------
-
-    def _tage_predict(self, pc):
-        parts = self._pc_parts.get(pc)
-        if parts is None:
-            parts = tuple(
-                pc ^ (pc >> (t + 1)) for t in range(self.num_tables)
-            )
-            self._pc_parts[pc] = parts
-        indices, tags = self._index_tags(parts, self._fold_regs, pc)
-        provider = alt = None
-        tables = self._tables
-        for table in range(self.num_tables - 1, -1, -1):
-            if tables[table][indices[table]].tag == tags[table]:
-                if provider is None:
-                    provider = table
-                elif alt is None:
-                    alt = table
-                    break
-        base_index = pc & self._base_mask
-        base_pred = self._base[base_index] >= 2
-        alt_pred = (
-            self._tables[alt][indices[alt]].ctr >= 0 if alt is not None else base_pred
-        )
-        if provider is not None:
-            entry = self._tables[provider][indices[provider]]
-            provider_pred = entry.ctr >= 0
-            weak = entry.ctr in (-1, 0)
-            if weak and self._use_alt_on_na >= 8:
-                final = alt_pred
-            else:
-                final = provider_pred
-        else:
-            provider_pred = base_pred
-            weak = False
-            final = base_pred
-        return _PredMeta(
-            indices=indices,
-            tags=tags,
-            provider=provider,
-            alt=alt,
-            provider_pred=provider_pred,
-            alt_pred=alt_pred,
-            base_index=base_index,
-            final_pred=final,
-            tage_pred=final,
-            weak_provider=weak,
-        )
-
-    def predict(self, pc):
-        meta = self._tage_predict(pc)
-        return meta.final_pred, meta
-
-    # -- fused warm-mode training ---------------------------------------------
-
-    def _scan(self, pc):
-        """The table scan of :meth:`_tage_predict` without the meta object.
-
-        Returns the locals the fused train path needs as a plain tuple —
-        warm mode trains on every committed branch, and the ``_PredMeta``
-        allocation is pure overhead when nothing travels with the branch.
-        """
-        parts = self._pc_parts.get(pc)
-        if parts is None:
-            parts = tuple(
-                pc ^ (pc >> (t + 1)) for t in range(self.num_tables)
-            )
-            self._pc_parts[pc] = parts
-        indices, tags = self._index_tags(parts, self._fold_regs, pc)
-        tables = self._tables
-        provider = alt = None
-        for table in range(self.num_tables - 1, -1, -1):
-            if tables[table][indices[table]].tag == tags[table]:
-                if provider is None:
-                    provider = table
-                elif alt is None:
-                    alt = table
-                    break
-        base_index = pc & self._base_mask
-        base_pred = self._base[base_index] >= 2
-        alt_pred = (
-            tables[alt][indices[alt]].ctr >= 0 if alt is not None else base_pred
-        )
-        if provider is not None:
-            entry = tables[provider][indices[provider]]
-            provider_pred = entry.ctr >= 0
-            weak = entry.ctr in (-1, 0)
-            if weak and self._use_alt_on_na >= 8:
-                final = alt_pred
-            else:
-                final = provider_pred
-        else:
-            entry = None
-            provider_pred = base_pred
-            weak = False
-            final = base_pred
-        return (indices, tags, provider, alt, entry, provider_pred,
-                alt_pred, weak, base_index, final)
-
-    def _train_tables(self, taken, indices, tags, provider, alt, entry,
-                      provider_pred, alt_pred, weak, base_index, tage_pred):
-        """The table-update half of :meth:`update`, on :meth:`_scan` locals.
-
-        Bit-identical to ``update(pc, taken, meta)`` — the provider entry,
-        alternate, base counter, allocation and aging all see the same
-        values in the same order.
-        """
-        self._update_count += 1
-        if provider is not None:
-            if weak and provider_pred != alt_pred:
-                if alt_pred == taken:
-                    self._use_alt_on_na = saturate(self._use_alt_on_na, 1, 0, 15)
-                else:
-                    self._use_alt_on_na = saturate(self._use_alt_on_na, -1, 0, 15)
-            entry.ctr = saturate(entry.ctr, 1 if taken else -1, -4, 3)
-            if provider_pred != alt_pred:
-                entry.useful = saturate(
-                    entry.useful, 1 if provider_pred == taken else -1, 0, 3
-                )
-            if entry.useful == 0:
-                if alt is not None:
-                    alt_entry = self._tables[alt][indices[alt]]
-                    alt_entry.ctr = saturate(alt_entry.ctr, 1 if taken else -1, -4, 3)
-                else:
-                    self._update_base(base_index, taken)
-        else:
-            self._update_base(base_index, taken)
-        if tage_pred != taken:
-            self._allocate_raw(indices, tags, provider, taken)
-        if self._update_count % self.u_reset_period == 0:
-            self._age_useful_bits()
-
-    def train(self, pc, taken):
-        """Fused predict + speculative_update + update (warm mode)."""
-        (indices, tags, provider, alt, entry, provider_pred, alt_pred,
-         weak, base_index, final) = self._scan(pc)
-        self._train_tables(taken, indices, tags, provider, alt, entry,
-                           provider_pred, alt_pred, weak, base_index, final)
-        self._history = self._shift(
-            self._fold_regs, self._history, 1 if taken else 0
-        )
-        return final
-
-    # -- update --------------------------------------------------------------
-
-    def update(self, pc, taken, meta=None):
-        if meta is None:
-            meta = self._tage_predict(pc)
-        self._update_count += 1
-        mispredicted = meta.tage_pred != taken
-
-        # use_alt_on_na management: when a weak provider disagreed with alt,
-        # learn which of the two to trust.
-        if meta.provider is not None and meta.weak_provider:
-            if meta.provider_pred != meta.alt_pred:
-                if meta.alt_pred == taken:
-                    self._use_alt_on_na = saturate(self._use_alt_on_na, 1, 0, 15)
-                else:
-                    self._use_alt_on_na = saturate(self._use_alt_on_na, -1, 0, 15)
-
-        if meta.provider is not None:
-            entry = self._tables[meta.provider][meta.indices[meta.provider]]
-            entry.ctr = saturate(entry.ctr, 1 if taken else -1, -4, 3)
-            if meta.provider_pred != meta.alt_pred:
-                entry.useful = saturate(
-                    entry.useful, 1 if meta.provider_pred == taken else -1, 0, 3
-                )
-            # Train the alternate too when the provider is newly allocated.
-            if entry.useful == 0:
-                if meta.alt is not None:
-                    alt_entry = self._tables[meta.alt][meta.indices[meta.alt]]
-                    alt_entry.ctr = saturate(alt_entry.ctr, 1 if taken else -1, -4, 3)
-                else:
-                    self._update_base(meta.base_index, taken)
-        else:
-            self._update_base(meta.base_index, taken)
-
-        if mispredicted:
-            self._allocate(meta, taken)
-
-        if self._update_count % self.u_reset_period == 0:
-            self._age_useful_bits()
-
-    def _update_base(self, index, taken):
-        self._base[index] = saturate(self._base[index], 1 if taken else -1, 0, 3)
-
-    def _allocate(self, meta, taken):
-        self._allocate_raw(meta.indices, meta.tags, meta.provider, taken)
-
-    def _allocate_raw(self, indices, tags, provider, taken):
-        start = (provider + 1) if provider is not None else 0
-        if start >= self.num_tables:
+    def _allocate(self, start, indices, tags, taken):
+        """Allocate one entry above the provider (tables *start*..) on a
+        misprediction; when every candidate is useful, age them instead."""
+        count = self.num_tables - start
+        if count <= 0:
             return
         # Deterministic pseudo-random start offset spreads allocations.
-        self._alloc_tick = (self._alloc_tick + 1) % 3
-        candidates = list(range(start, self.num_tables))
-        offset = self._alloc_tick % len(candidates)
-        ordered = candidates[offset:] + candidates[:offset]
-        for table in ordered:
-            entry = self._tables[table][indices[table]]
-            if entry.useful == 0:
-                entry.tag = tags[table]
-                entry.ctr = 0 if taken else -1
-                entry.useful = 0
+        self._alloc_tick = tick = (self._alloc_tick + 1) % 3
+        offset = tick % count
+        useful = self._useful
+        for k in range(count):
+            table = start + (offset + k) % count
+            i = indices[table]
+            if useful[i] == 0:
+                self._tags[i] = tags[table]
+                self._ctrs[i] = 0 if taken else -1
                 return
-        for table in candidates:
-            entry = self._tables[table][indices[table]]
-            entry.useful = saturate(entry.useful, -1, 0, 3)
+        for table in range(start, self.num_tables):
+            i = indices[table]
+            if useful[i]:
+                useful[i] -= 1
 
-    def _age_useful_bits(self):
-        for table in self._tables:
-            for entry in table:
-                entry.useful >>= 1
+    def _age_useful(self):
+        useful = self._useful
+        useful[:] = [u >> 1 for u in useful]
 
     def stats(self):
-        live = sum(
-            1 for table in self._tables for e in table if e.ctr != 0 or e.useful
-        )
+        live = sum(1 for c, u in zip(self._ctrs, self._useful) if c or u)
         return {"tables": self.num_tables, "live_entries": live}
 
 
 class ISLTAGEPredictor(TAGEPredictor):
-    """TAGE + loop predictor + small statistical corrector (ISL-TAGE)."""
+    """TAGE + loop predictor + small statistical corrector (ISL-TAGE).
+
+    The loop predictor is direct-mapped with small tags.  It tracks, per
+    static branch, the trip count of regular loops and predicts the exit
+    iteration once the count has been confirmed a few times; a confident
+    loop prediction overrides TAGE while the loop-trust counter is high.
+    The iteration counter advances at training (retire) time — a
+    modelling simplification relative to the speculative iteration
+    tracking of the CBP3 code, which only costs accuracy in the shadow of
+    in-flight iterations.
+    """
 
     name = "isl_tage"
+    _KIND = "isl"
 
     SC_TABLE_BITS = 10
     SC_HISTORY = (0, 8, 21)
+    SC_THRESHOLD = 6
+    LOOP_TABLE_BITS = 8
+    LOOP_TAG_BITS = 14
+    LOOP_MAX_ITER = 1 << 14
+    LOOP_CONFIDENT = 3
 
     def __init__(self, table_bits=10, tag_bits=11,
                  history_lengths=_DEFAULT_HISTORY_LENGTHS):
-        super().__init__(table_bits, tag_bits, history_lengths)
-        self.loop = LoopPredictor()
+        loop_entries = 1 << self.LOOP_TABLE_BITS
+        self._loop_tag = [-1] * loop_entries
+        self._loop_past = [0] * loop_entries
+        self._loop_cur = [0] * loop_entries
+        self._loop_conf = [0] * loop_entries
+        self._loop_age = [0] * loop_entries
         self._loop_trust = 4  # 0..7; >=4 means trust a confident loop pred
-        sc_size = 1 << self.SC_TABLE_BITS
-        self._sc_tables = [[0] * sc_size for _ in self.SC_HISTORY]
-        self._sc_mask = sc_size - 1
-        self._sc_threshold = 6
-        # The corrector's folds ride the same incremental registers as the
-        # TAGE tables: append one register per non-zero SC history length
-        # (appending keeps the TAGE registers at their expected offsets).
-        self._sc_reg_base = len(self._fold_params)
-        bits = self.SC_TABLE_BITS
-        for length in self.SC_HISTORY:
-            if length:
-                self._fold_params.append(
-                    (length - 1, bits - 1, (1 << bits) - 1, length % bits)
-                )
-                self._fold_regs.append(0)
-        self._build_shift()  # re-unroll with the corrector registers included
-
-    def predict(self, pc):
-        meta = self._tage_predict(pc)
-        final = meta.final_pred
-
-        loop_valid, loop_pred = self.loop.predict(pc)
-        if loop_valid and self._loop_trust >= 4:
-            meta.used_loop = True
-            meta.loop_pred = loop_pred
-            final = loop_pred
-        else:
-            # Statistical corrector: vetoes only weak TAGE predictions.
-            regs = self._fold_regs
-            sc_mask = self._sc_mask
-            sc_indices = []
-            j = self._sc_reg_base
-            for h in self.SC_HISTORY:
-                if h:
-                    sc_indices.append((pc ^ regs[j]) & sc_mask)
-                    j += 1
-                else:
-                    sc_indices.append(pc & sc_mask)
-            sc_indices = tuple(sc_indices)
-            meta.sc_indices = sc_indices
-            sc_sum = sum(
-                table[idx] for table, idx in zip(self._sc_tables, sc_indices)
-            )
-            sc_sum += 2 * (1 if final else -1)  # bias toward TAGE
-            if meta.weak_provider and abs(sc_sum) >= self._sc_threshold:
-                final = sc_sum >= 0
-
-        meta.final_pred = final
-        return final, meta
-
-    def update(self, pc, taken, meta=None):
-        if meta is not None:
-            if meta.used_loop:
-                self._loop_trust = saturate(
-                    self._loop_trust, 1 if meta.loop_pred == taken else -2, 0, 7
-                )
-            self.loop.update(pc, taken)
-            for table, idx in zip(self._sc_tables, meta.sc_indices):
-                table[idx] = saturate(table[idx], 1 if taken else -1, -31, 31)
-        else:
-            self.loop.update(pc, taken)
-        super().update(pc, taken, meta)
-
-    def train(self, pc, taken):
-        """Fused ISL-TAGE warm training (same state as predict/update)."""
-        (indices, tags, provider, alt, entry, provider_pred, alt_pred,
-         weak, base_index, tage_pred) = self._scan(pc)
-        final = tage_pred
-        loop_valid, loop_pred = self.loop.predict(pc)
-        used_loop = loop_valid and self._loop_trust >= 4
-        sc_indices = None
-        if used_loop:
-            final = loop_pred
-        else:
-            regs = self._fold_regs
-            sc_mask = self._sc_mask
-            sc_indices = []
-            j = self._sc_reg_base
-            for h in self.SC_HISTORY:
-                if h:
-                    sc_indices.append((pc ^ regs[j]) & sc_mask)
-                    j += 1
-                else:
-                    sc_indices.append(pc & sc_mask)
-            sc_sum = sum(
-                table[idx] for table, idx in zip(self._sc_tables, sc_indices)
-            )
-            sc_sum += 2 * (1 if final else -1)
-            if weak and abs(sc_sum) >= self._sc_threshold:
-                final = sc_sum >= 0
-        if used_loop:
-            self._loop_trust = saturate(
-                self._loop_trust, 1 if loop_pred == taken else -2, 0, 7
-            )
-        self.loop.update(pc, taken)
-        if sc_indices is not None:
-            sc_tables = self._sc_tables
-            for table, idx in zip(sc_tables, sc_indices):
-                table[idx] = saturate(table[idx], 1 if taken else -1, -31, 31)
-        self._train_tables(taken, indices, tags, provider, alt, entry,
-                           provider_pred, alt_pred, weak, base_index,
-                           tage_pred)
-        self._history = self._shift(
-            self._fold_regs, self._history, 1 if taken else 0
-        )
-        return final
+        self._sc = [0] * (len(self.SC_HISTORY) << self.SC_TABLE_BITS)
+        super().__init__(table_bits, tag_bits, history_lengths)

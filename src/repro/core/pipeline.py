@@ -393,12 +393,6 @@ class Pipeline:
         else:
             bucket.append(uop)
 
-    def _inst_addr(self, pc):
-        return CODE_BASE + pc * 4
-
-    def _read_src(self, phys):
-        return self.prf_value[phys]
-
     # ------------------------------------------------------------------ fetch
 
     def _capture_fe_snapshot(self):
@@ -855,17 +849,6 @@ class Pipeline:
 
     # ------------------------------------------------------------------ issue
 
-    def _sources_ready(self, uop):
-        # Stores issue to the AGU as soon as the address register is ready;
-        # the data register is captured later (split store, typical of OOO
-        # cores, and important so younger loads can disambiguate early).
-        if uop.is_store:
-            return self.prf_ready[uop.src_phys[0]]
-        for phys in uop.src_phys:
-            if not self.prf_ready[phys]:
-                return False
-        return True
-
     def stage_issue(self):
         iq = self.iq
         if not iq:
@@ -897,10 +880,10 @@ class Pipeline:
             if issued >= issue_width:
                 append(uop)
                 continue
-            # Wakeup check (inlined _sources_ready): stores issue to the
-            # AGU on the address register alone — the data register is
-            # captured later (split store) — everything else needs all
-            # sources ready.
+            # Wakeup check: stores issue to the AGU on the address
+            # register alone — the data register is captured later (split
+            # store, so younger loads can disambiguate early) — everything
+            # else needs all sources ready.
             src_phys = uop.src_phys
             if uop.is_store:
                 if not prf_ready[src_phys[0]]:

@@ -51,7 +51,7 @@ from collections import deque, namedtuple
 from repro.arch.executor import FunctionalExecutor
 from repro.arch.memory import Memory
 from repro.arch.queues import BranchQueue, TripCountQueue, ValueQueue
-from repro.arch.state import ArchState
+from repro.arch.state import ArchState, program_image
 from repro.isa.instructions import LINK_REG, ZERO_REG
 from repro.isa.opcodes import OpClass, Opcode
 
@@ -606,23 +606,9 @@ class PortableWarmTrace:
             static_kinds = _static_event_kinds(pipeline)
             boundaries = self.boundaries
             boundary_positions = [b.position for b in boundaries]
-            # The data image was validated when the pipeline loaded it;
-            # build the word dict directly rather than through the
-            # checked store path (it can be millions of words), and memo
-            # the pristine image on the program so repeated materialize
-            # calls — a config sweep's points share one program — pay a
-            # plain copy instead of a masking pass.
-            pristine = getattr(program, "_warm_base_words", None)
-            if pristine is None:
-                pristine = {
-                    addr: value & 0xFFFFFFFF
-                    for addr, value in program.data.items()
-                }
-                try:
-                    program._warm_base_words = pristine
-                except AttributeError:  # pragma: no cover - slotted stub
-                    pass
-            base_words = dict(pristine)
+            # The program's memoized image (the one every machine loads)
+            # is the base the boundary deltas fold onto.
+            base_words = dict(program_image(program))
             applied = 0  # boundaries whose memory delta is folded in
             executor = None
             state = None

@@ -33,51 +33,61 @@ class CacheConfig:
 
 
 class Cache:
-    """One level of cache: LRU, write-back, write-allocate."""
+    """One level of cache: LRU, write-back, write-allocate.
+
+    State is flat.  A line is named by its block number (``addr //
+    line_bytes``), which identifies it uniquely and so doubles as its tag.
+    Each set is a list of the resident blocks in MRU-first order, and one
+    set of blocks records which resident lines are dirty.
+    """
 
     def __init__(self, config):
         self.config = config
         self.num_sets = config.num_sets
         self.line_bytes = config.line_bytes
-        # Per set: list of [tag, dirty] in MRU-first order.
+        self.assoc = config.assoc
+        self._set_mask = self.num_sets - 1
         self._sets = [[] for _ in range(self.num_sets)]
+        self._dirty = set()
         self.hits = 0
         self.misses = 0
         self.writebacks = 0
 
-    def _locate(self, addr):
-        block = addr // self.line_bytes
-        return block % self.num_sets, block // self.num_sets
-
     def lookup(self, addr, is_write=False, update=True):
         """Probe for *addr*. Returns True on hit (and updates LRU/dirty)."""
-        index, tag = self._locate(addr)
-        lines = self._sets[index]
-        for position, line in enumerate(lines):
-            if line[0] == tag:
+        block = addr // self.line_bytes
+        lines = self._sets[block & self._set_mask]
+        if not lines or lines[0] != block:  # not the MRU line
+            if block not in lines:
                 if update:
-                    if position:
-                        lines.insert(0, lines.pop(position))
-                    if is_write:
-                        line[1] = True
-                    self.hits += 1
-                return True
+                    self.misses += 1
+                return False
+            if update:
+                lines.remove(block)
+                lines.insert(0, block)
         if update:
-            self.misses += 1
-        return False
+            if is_write:
+                self._dirty.add(block)
+            self.hits += 1
+        return True
 
     def fill(self, addr, is_write=False):
-        """Install the line containing *addr* (on miss refill)."""
-        index, tag = self._locate(addr)
-        lines = self._sets[index]
-        for line in lines:
-            if line[0] == tag:  # already present (e.g. racing prefetch)
-                line[1] = line[1] or is_write
-                return
-        lines.insert(0, [tag, is_write])
-        if len(lines) > self.config.assoc:
+        """Install the line containing *addr* (on miss refill).
+
+        A line already present (e.g. a racing prefetch) keeps its LRU
+        position and only picks up the dirty bit.
+        """
+        block = addr // self.line_bytes
+        lines = self._sets[block & self._set_mask]
+        if is_write:
+            self._dirty.add(block)
+        if block in lines:
+            return
+        lines.insert(0, block)
+        if len(lines) > self.assoc:
             victim = lines.pop()
-            if victim[1]:
+            if victim in self._dirty:
+                self._dirty.remove(victim)
                 self.writebacks += 1
 
     def contains(self, addr):

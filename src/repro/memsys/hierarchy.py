@@ -25,9 +25,13 @@ class MemLevel(enum.IntEnum):
     MEM = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class AccessResult:
-    """Outcome of one hierarchy access."""
+    """Outcome of one hierarchy access.
+
+    Immutable: the hierarchy hands out one preallocated result per
+    (first level, level served) pair instead of a fresh one per access.
+    """
 
     latency: int
     level: MemLevel
@@ -68,58 +72,73 @@ class MemoryHierarchy:
         self.data_accesses = 0
         self.inst_accesses = 0
         self.prefetch_fills = 0
+        self._inst_results = self._results(self.config.l1i)
+        self._data_results = self._results(self.config.l1d)
 
-    def _walk(self, first_level_cache, addr, is_write):
-        """Probe down the hierarchy; fill on the way back.
+    def _results(self, first_level):
+        """The results of an access that starts at *first_level*, indexed
+        by ``level - 1``: each level adds its lookup latency."""
+        config = self.config
+        latency = first_level.hit_latency
+        results = [AccessResult(latency, MemLevel.L1)]
+        for extra, level in ((config.l2.hit_latency, MemLevel.L2),
+                             (config.l3.hit_latency, MemLevel.L3),
+                             (config.dram_latency, MemLevel.MEM)):
+            latency += extra
+            results.append(AccessResult(latency, level))
+        return tuple(results)
 
-        Returns (total_latency, MemLevel).
-        """
-        latency = first_level_cache.config.hit_latency
-        if first_level_cache.lookup(addr, is_write):
-            return latency, MemLevel.L1
-        latency += self.l2.config.hit_latency
+    def _refill(self, first_level_cache, addr, is_write):
+        """Probe L2, L3 and DRAM after a first-level miss; fill on the way
+        back.  Returns the served level's index into the result table."""
         if self.l2.lookup(addr):
             first_level_cache.fill(addr, is_write)
-            return latency, MemLevel.L2
-        latency += self.l3.config.hit_latency
+            return 1
         if self.l3.lookup(addr):
             self.l2.fill(addr)
             first_level_cache.fill(addr, is_write)
-            return latency, MemLevel.L3
-        latency += self.config.dram_latency
+            return 2
         self.l3.fill(addr)
         self.l2.fill(addr)
         first_level_cache.fill(addr, is_write)
-        return latency, MemLevel.MEM
+        return 3
 
     def access_data(self, addr, is_write=False, pc=None):
         """A demand data access. Returns :class:`AccessResult`."""
         self.data_accesses += 1
-        latency, level = self._walk(self.l1d, addr, is_write)
+        l1d = self.l1d
+        if l1d.lookup(addr, is_write):
+            result = self._data_results[0]
+        else:
+            result = self._data_results[self._refill(l1d, addr, is_write)]
         if self.prefetcher is not None and not is_write:
-            for pf_addr in self.prefetcher.observe(pc or 0, addr, level != MemLevel.L1):
+            missed = result.level != MemLevel.L1
+            for pf_addr in self.prefetcher.observe(pc or 0, addr, missed):
                 self.prefetch_fill(pf_addr)
-        return AccessResult(latency, level)
+        return result
 
     def probe_data_hit(self, addr):
         """Non-mutating L1D probe (used for MSHR-free fast-path checks)."""
         return self.l1d.contains(addr)
 
     def prefetch_fill(self, addr):
-        """Install *addr*'s line at every level (hardware prefetch fill)."""
+        """Install *addr*'s line at every level (hardware prefetch fill).
+
+        A fill of a resident line leaves it untouched, so no level is
+        probed first.
+        """
         self.prefetch_fills += 1
-        if not self.l3.lookup(addr, update=False):
-            self.l3.fill(addr)
-        if not self.l2.lookup(addr, update=False):
-            self.l2.fill(addr)
-        if not self.l1d.lookup(addr, update=False):
-            self.l1d.fill(addr)
+        self.l3.fill(addr)
+        self.l2.fill(addr)
+        self.l1d.fill(addr)
 
     def access_inst(self, addr):
         """An instruction fetch access. Returns :class:`AccessResult`."""
         self.inst_accesses += 1
-        latency, level = self._walk(self.l1i, addr, is_write=False)
-        return AccessResult(latency, level)
+        l1i = self.l1i
+        if l1i.lookup(addr):
+            return self._inst_results[0]
+        return self._inst_results[self._refill(l1i, addr, False)]
 
     def miss_latency(self, level):
         """Total latency an access served at *level* pays (for MSHR fills)."""

@@ -7,6 +7,9 @@ the issue queue).  Figure 25a of the paper is a histogram of per-cycle
 MSHR occupancy — :meth:`MSHRFile.sample` feeds that histogram.
 """
 
+#: ``_earliest`` of an empty file: no entry ever expires.
+_NEVER = float("inf")
+
 
 class MSHRFile:
     """Fixed-capacity outstanding-miss tracker with block merging."""
@@ -15,6 +18,7 @@ class MSHRFile:
         self.capacity = capacity
         self.line_bytes = line_bytes
         self._pending = {}  # block -> ready_cycle
+        self._earliest = _NEVER  # min ready_cycle of _pending
         self.allocations = 0
         self.merges = 0
         self.full_stalls = 0
@@ -23,12 +27,17 @@ class MSHRFile:
     def _block(self, addr):
         return addr // self.line_bytes
 
+    def _expire(self, cycle):
+        """Drop the entries whose fill has returned by *cycle*."""
+        pending = self._pending
+        for block in [b for b, ready in pending.items() if ready <= cycle]:
+            del pending[block]
+        self._earliest = min(pending.values()) if pending else _NEVER
+
     def occupancy(self, cycle):
         """Number of entries still outstanding at *cycle* (also cleans up)."""
-        if self._pending:
-            expired = [b for b, ready in self._pending.items() if ready <= cycle]
-            for block in expired:
-                del self._pending[block]
+        if cycle >= self._earliest:
+            self._expire(cycle)
         return len(self._pending)
 
     def request(self, addr, cycle, fill_latency):
@@ -49,24 +58,26 @@ class MSHRFile:
             return False, None
         ready = cycle + fill_latency
         self._pending[block] = ready
+        if ready < self._earliest:
+            self._earliest = ready
         self.allocations += 1
         return True, ready
 
     def sample(self, cycle):
-        """Record the current occupancy into the per-cycle histogram."""
-        pending = self._pending
-        if pending:  # inline of occupancy(): this runs every cycle
-            expired = [b for b, ready in pending.items() if ready <= cycle]
-            for block in expired:
-                del pending[block]
-            occ = len(pending)
-        else:
-            occ = 0
+        """Record the current occupancy into the per-cycle histogram.
+
+        This runs every cycle; the pending entries are scanned only on a
+        cycle where one of them has expired.
+        """
+        if cycle >= self._earliest:
+            self._expire(cycle)
+        occ = len(self._pending)
         hist = self.occupancy_histogram
         hist[occ] = hist.get(occ, 0) + 1
 
     def flush(self):
         self._pending.clear()
+        self._earliest = _NEVER
 
     def register_metrics(self, registry, prefix="memsys.l1d.mshr"):
         """Register allocation/merge/stall counters and the per-cycle

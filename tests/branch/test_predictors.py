@@ -170,19 +170,30 @@ class TestRegistry:
 
 class TestTAGEInternals:
     def test_useful_bit_aging(self):
-        predictor = TAGEPredictor(u_reset_period=64)
-        # train a strongly-correlated pattern so tagged entries allocate
-        # and become useful, then confirm the periodic aging halves them
+        """At every reset period each useful counter is halved.
+
+        A twin that never ages sees the same stream; at each period the
+        aged table must equal the twin's shifted right by one.  The twin
+        then adopts the aged counters, so the two stay in lockstep.
+        """
+        period = 64
+        aged = TAGEPredictor(u_reset_period=period)
+        twin = TAGEPredictor(u_reset_period=1 << 30)
         outcomes = _pattern((1, 0, 0, 1, 1, 0), 40)
-        _accuracy(predictor, outcomes, pc=0x30)
-        useful_before = sum(
-            e.useful for table in predictor._tables for e in table
-        )
-        _accuracy(predictor, outcomes[:64], pc=0x30)
-        # aging ran at least once (period 64 << updates); bits can only
-        # have been halved or re-earned, never grown monotonically
-        assert predictor._update_count > 64
-        assert useful_before >= 0  # smoke: structures intact
+        halved = 0
+        for count, taken in enumerate(outcomes, 1):
+            for predictor in (aged, twin):
+                _, meta = predictor.predict(0x30)
+                predictor.speculative_update(0x30, taken)
+                predictor.update(0x30, taken, meta)
+            if count % period:
+                assert aged._useful == twin._useful
+                continue
+            assert aged._useful == [u >> 1 for u in twin._useful]
+            halved += sum(1 for u in twin._useful if u > 1)
+            twin._useful[:] = aged._useful
+        assert aged._update_count == len(outcomes) > 2 * period
+        assert halved > 0  # some counter had a bit to lose
 
     def test_allocation_on_mispredicts_populates_tables(self):
         predictor = TAGEPredictor()

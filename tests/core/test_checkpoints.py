@@ -1,6 +1,9 @@
 """Checkpoint pool: allocation, reclamation, squash cleanup."""
 
-from repro.core.checkpoints import CheckpointPool, FrontEndSnapshot
+from repro.core import sandy_bridge_config
+from repro.core.checkpoints import CheckpointPool, FrontEndSnapshot, SimCheckpoint
+from repro.core.pipeline import Pipeline
+from repro.workloads import get_workload
 
 
 def _allocate(pool, seq):
@@ -54,3 +57,29 @@ def test_clear():
     _allocate(pool, 1)
     pool.clear()
     assert pool.available == 3
+
+
+def test_sim_checkpoint_copies_flat_warm_state():
+    """capture -> mutate -> restore: the checkpoint holds its own copy of
+    every flat warm structure, and a restored pipeline gets a fresh copy
+    whose kernels are bound to it, so the checkpoint restores again."""
+    program = get_workload("soplex").build("cfd", "ref", 0.125, 1).program
+    pipeline = Pipeline(program, sandy_bridge_config())
+    pipeline.run_slice(2000)
+    pipeline.drain_to_committed()
+    ckpt = SimCheckpoint.capture(pipeline)
+    tags = list(ckpt.predictor._tags)
+    l2_sets = [list(lines) for lines in ckpt.memory.l2._sets]
+    first = pipeline.run_slice(2000).to_snapshot()
+    assert pipeline.predictor._update_count > ckpt.predictor._update_count
+    assert ckpt.predictor._tags == tags
+    assert [list(lines) for lines in ckpt.memory.l2._sets] == l2_sets
+    for _ in range(2):
+        ckpt.restore(pipeline)
+        predictor = pipeline.predictor
+        assert predictor is not ckpt.predictor
+        assert predictor._tags is not ckpt.predictor._tags
+        assert predictor.train.__self__ is predictor
+        assert pipeline.memory.l2._sets is not ckpt.memory.l2._sets
+        assert pipeline.btb._targets is not ckpt.btb._targets
+        assert pipeline.run_slice(2000).to_snapshot() == first
